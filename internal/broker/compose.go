@@ -144,15 +144,6 @@ func WithComposerSolveCache(c *cache.Cache) ComposerOption {
 	return func(cm *Composer) { cm.cache = c }
 }
 
-// WithComposerSolver threads extra solver options into every
-// branch-and-bound composition.
-//
-// Deprecated: use WithSolverOptions, which follows the package's
-// option naming convention (see doc.go).
-func WithComposerSolver(opts ...solver.Option) ComposerOption {
-	return WithSolverOptions(opts...)
-}
-
 // NewComposer returns a composer with the given link penalty.
 func NewComposer(reg *soa.Registry, penalty LinkPenalty, opts ...ComposerOption) *Composer {
 	c := &Composer{reg: reg, penalty: penalty}
@@ -197,22 +188,27 @@ func (c *Composer) candidates(sr semiring.Semiring[float64], req PipelineRequest
 				continue
 			}
 		}
-		space := core.NewSpace[float64](sr)
-		res := space.AddVariable(core.Variable(attr.Resource), attr.ResourceDomain())
-		con, err := attr.ToConstraint(space, res)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, candidate{
 			provider: d.Provider,
 			region:   d.Region,
-			level:    core.Blevel(con), // best standalone level
+			level:    bestLevel(sr, attr),
 		})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("broker: no providers with a %q attribute for stage %q", metric, stage)
 	}
 	return out, nil
+}
+
+// bestLevel is the attribute's best standalone level: the ⊕ of its
+// levels over the resource domain [0, MaxUnits], folded in domain
+// order — the blevel of attr.ToConstraint, bit for bit.
+func bestLevel(sr semiring.Semiring[float64], attr soa.Attribute) float64 {
+	level := sr.Zero()
+	for u := 0; u <= attr.MaxUnits; u++ {
+		level = sr.Plus(level, attr.Level(float64(u)))
+	}
+	return level
 }
 
 // encode builds the composition SCSP: one variable per stage whose
@@ -233,27 +229,27 @@ func (c *Composer) encode(
 		)
 	}
 	p := core.NewProblem(space, vars...)
-	for i := range req.Stages {
-		i := i
-		v := vars[i]
-		p.Add(core.NewConstraint(space, []core.Variable{v}, func(a core.Assignment) float64 {
-			return cands[i][int(a.Num(v))].level
-		}))
+	for i, cs := range cands {
+		levels := make([]float64, len(cs))
+		for k, cd := range cs {
+			levels[k] = cd.level
+		}
+		p.Add(core.NewTable(space, vars[i:i+1], levels))
 	}
-	for i := 0; i+1 < len(req.Stages); i++ {
-		i := i
-		u, v := vars[i], vars[i+1]
-		p.Add(core.NewConstraint(space, []core.Variable{u, v}, func(a core.Assignment) float64 {
-			cu := cands[i][int(a.Num(u))]
-			cv := cands[i+1][int(a.Num(v))]
-			if cu.region == cv.region {
-				return sr.One()
+	link := c.linkValue(sr, req.Metric)
+	for i := 0; i+1 < len(cands); i++ {
+		cu, cv := cands[i], cands[i+1]
+		m := make([]float64, 0, len(cu)*len(cv))
+		for _, a := range cu {
+			for _, b := range cv {
+				if a.region == b.region {
+					m = append(m, sr.One())
+				} else {
+					m = append(m, link)
+				}
 			}
-			if req.Metric == soa.MetricCost || req.Metric == soa.MetricDowntime {
-				return c.penalty.Cost
-			}
-			return c.penalty.Factor
-		}))
+		}
+		p.Add(core.NewTable(space, vars[i:i+2], m))
 	}
 	return p, vars
 }

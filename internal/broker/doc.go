@@ -63,11 +63,10 @@
 // a whole option set to a subordinate component are named
 // With<Component>Options (WithSolverOptions).
 //
-// Two deprecated spellings are kept as thin aliases and will not grow
-// new behaviour: WithComposerSolver (use WithSolverOptions) and
-// WithSolverParallelism (use WithSolverWorkers, whose worker count
-// follows the solver convention — 0 means runtime.GOMAXPROCS(0), 1
-// means the sequential path).
+// One deprecated spelling is kept as a thin alias and will not grow
+// new behaviour: WithSolverParallelism (use WithSolverWorkers, whose
+// worker count follows the solver convention — 0 means
+// runtime.GOMAXPROCS(0), 1 means the sequential path).
 //
 // # Solve cache
 //

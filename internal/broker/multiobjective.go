@@ -127,7 +127,7 @@ func (c *Composer) ComposeMultiObjective(req PipelineRequest) ([]MultiCompositio
 		}))
 	}
 
-	// Parallelism from WithComposerSolver is honoured; propagation is
+	// Parallelism from WithSolverOptions is honoured; propagation is
 	// not added here because the probabilistic component of the product
 	// carrier makes cost shifting inexact. Note the Pareto cap: with
 	// more than 64 pairwise-incomparable compositions the parallel
@@ -170,11 +170,5 @@ func standaloneLevel(metric soa.Metric, attr soa.Attribute) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	space := core.NewSpace[float64](sr)
-	res := space.AddVariable(core.Variable(attr.Resource), attr.ResourceDomain())
-	con, err := attr.ToConstraint(space, res)
-	if err != nil {
-		return 0, err
-	}
-	return core.Blevel(con), nil
+	return bestLevel(sr, attr), nil
 }

@@ -35,7 +35,8 @@ type Constraint[T any] struct {
 // empty, yielding a constant constraint. Panics on unknown or
 // duplicate scope variables.
 func NewConstraint[T any](s *Space[T], scope []Variable, fn func(Assignment) T) *Constraint[T] {
-	c := newEmpty(s, scope)
+	c, size := newShape(s, scope)
+	c.table = make([]T, size)
 	asst := make(Assignment, len(c.scope))
 	digits := make([]int, len(c.scope))
 	for i := range c.table {
@@ -48,13 +49,25 @@ func NewConstraint[T any](s *Space[T], scope []Variable, fn func(Assignment) T) 
 	return c
 }
 
+// NewTable builds a constraint over scope directly from its table and
+// takes ownership of values. values are listed in the mixed-radix
+// order Values returns — scope variables in declaration order, the
+// first most significant — whatever the order of scope. Panics on a
+// length mismatch or an unknown or duplicate scope variable.
+func NewTable[T any](s *Space[T], scope []Variable, values []T) *Constraint[T] {
+	c, size := newShape(s, scope)
+	if len(values) != size {
+		panic(fmt.Sprintf("core: NewTable over %v got %d values, want %d", scope, len(values), size))
+	}
+	c.table = values
+	return c
+}
+
 // Constant returns the constraint with empty support that maps every
 // assignment to v. The paper writes ā for these; 0̄ and 1̄ are
 // Constant(s, Zero) and Constant(s, One).
 func Constant[T any](s *Space[T], v T) *Constraint[T] {
-	c := newEmpty(s, nil)
-	c.table[0] = v
-	return c
+	return NewTable(s, nil, []T{v})
 }
 
 // Top returns the constraint 1̄ (always One): the empty store.
@@ -105,18 +118,20 @@ func Binary[T any](s *Space[T], x, y Variable, prefs map[[2]string]T) *Constrain
 	})
 }
 
-func newEmpty[T any](s *Space[T], scope []Variable) *Constraint[T] {
+// newShape resolves scope to sorted variable indices and their
+// mixed-radix strides (first scope variable most significant),
+// returning the table-less constraint and its table size.
+func newShape[T any](s *Space[T], scope []Variable) (*Constraint[T], int) {
 	idx := make([]int, 0, len(scope))
-	seen := make(map[int]bool, len(scope))
 	for _, v := range scope {
-		i := s.varIndex(v)
-		if seen[i] {
-			panic(fmt.Sprintf("core: duplicate scope variable %q", v))
-		}
-		seen[i] = true
-		idx = append(idx, i)
+		idx = append(idx, s.varIndex(v))
 	}
 	sort.Ints(idx)
+	for k := 1; k < len(idx); k++ {
+		if idx[k] == idx[k-1] {
+			panic(fmt.Sprintf("core: duplicate scope variable %q", s.names[idx[k]]))
+		}
+	}
 	size := 1
 	for _, i := range idx {
 		size *= s.domainSize(i)
@@ -124,9 +139,9 @@ func newEmpty[T any](s *Space[T], scope []Variable) *Constraint[T] {
 			panic(fmt.Sprintf("core: constraint table over %v exceeds %d entries", scope, maxTableSize))
 		}
 	}
-	c := &Constraint[T]{space: s, scope: idx, table: make([]T, size)}
+	c := &Constraint[T]{space: s, scope: idx}
 	c.computeStride()
-	return c
+	return c, size
 }
 
 // computeStride fills c.stride for the (sorted) scope: mixed-radix
@@ -271,30 +286,30 @@ func (c *Constraint[T]) Values(dst []T) []T {
 // mixed-radix order.
 func (c *Constraint[T]) String() string {
 	var b strings.Builder
-	names := c.Scope()
-	fmt.Fprintf(&b, "c(")
-	for i, n := range names {
-		if i > 0 {
+	b.WriteString("c(")
+	for j, vi := range c.scope {
+		if j > 0 {
 			b.WriteString(",")
 		}
-		b.WriteString(string(n))
+		b.WriteString(string(c.space.names[vi]))
 	}
 	b.WriteString("){")
-	first := true
-	c.ForEach(func(a Assignment, v T) {
-		if !first {
+	digits := make([]int, len(c.scope))
+	for i, v := range c.table {
+		if i > 0 {
 			b.WriteString(" ")
 		}
-		first = false
 		b.WriteString("⟨")
-		for i, n := range names {
-			if i > 0 {
+		for j, vi := range c.scope {
+			if j > 0 {
 				b.WriteString(",")
 			}
-			b.WriteString(a.Label(n))
+			b.WriteString(c.space.domains[vi][digits[j]].Label)
 		}
-		fmt.Fprintf(&b, "⟩→%s", c.space.sr.Format(v))
-	})
+		b.WriteString("⟩→")
+		b.WriteString(c.space.sr.Format(v))
+		c.incr(digits)
+	}
 	b.WriteString("}")
 	return b.String()
 }

@@ -535,3 +535,101 @@ func TestQuickProjectionAbsorbsCombine(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewTableMatchesNewConstraint: a table built by index from the
+// values NewConstraint computes is the same constraint — same Values,
+// AtIndex and String — whatever order the scope is passed in.
+func TestNewTableMatchesNewConstraint(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		s := NewSpace[float64](semiring.Weighted{})
+		nv := 1 + rng.Intn(4)
+		vars := make([]Variable, nv)
+		for i := range vars {
+			vars[i] = s.AddVariable(Variable("v"+strconv.Itoa(i)), IntDomain(0, rng.Intn(3)))
+		}
+		var scope []Variable
+		for _, i := range rng.Perm(nv)[:rng.Intn(nv+1)] {
+			scope = append(scope, vars[i])
+		}
+		w := make([]float64, nv)
+		for i := range w {
+			w[i] = float64(rng.Intn(7))
+		}
+		ref := NewConstraint(s, scope, func(a Assignment) float64 {
+			acc := 0.5
+			for i, v := range scope {
+				acc += w[i] * a.Num(v) * float64(i+1)
+			}
+			return acc
+		})
+		got := NewTable(s, scope, ref.Values(nil))
+		if got.String() != ref.String() {
+			t.Fatalf("trial %d scope %v: String %s, want %s", trial, scope, got, ref)
+		}
+		gv, rv := got.Values(nil), ref.Values(nil)
+		for i := range rv {
+			if math.Float64bits(gv[i]) != math.Float64bits(rv[i]) {
+				t.Fatalf("trial %d scope %v: Values[%d] = %v, want %v", trial, scope, i, gv[i], rv[i])
+			}
+		}
+		digits := make([]int, nv)
+		for k := 0; k < 20; k++ {
+			for i := range digits {
+				digits[i] = rng.Intn(len(s.Domain(vars[i])))
+			}
+			if g, r := got.AtIndex(digits), ref.AtIndex(digits); g != r {
+				t.Fatalf("trial %d scope %v: AtIndex(%v) = %v, want %v", trial, scope, digits, g, r)
+			}
+		}
+	}
+}
+
+func TestNewTablePanics(t *testing.T) {
+	s := NewSpace[float64](semiring.Weighted{})
+	x := s.AddVariable("x", IntDomain(0, 1))
+	y := s.AddVariable("y", IntDomain(0, 2))
+	for name, build := range map[string]func(){
+		"short":     func() { NewTable(s, []Variable{x, y}, make([]float64, 5)) },
+		"long":      func() { NewTable(s, []Variable{x}, make([]float64, 3)) },
+		"duplicate": func() { NewTable(s, []Variable{x, x}, make([]float64, 4)) },
+		"unknown":   func() { NewTable(s, []Variable{"z"}, make([]float64, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTable did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+// TestStringGolden pins the rendering of the package's example tables
+// byte for byte.
+func TestStringGolden(t *testing.T) {
+	_, cs := fig1Space()
+	w := NewSpace[float64](semiring.Weighted{})
+	x := w.AddVariable("x", IntDomain(0, 3))
+	b := NewSpace[bool](semiring.Classical{})
+	in := b.AddVariable("in", IntDomain(0, 2))
+	mid := b.AddVariable("mid", IntDomain(0, 2))
+	f := NewSpace[float64](semiring.Fuzzy{})
+	u := f.AddVariable("u", LabelDomain("lo", "hi"))
+	for _, tc := range []struct{ got, want string }{
+		{cs[0].String(), "c(X){⟨a⟩→1 ⟨b⟩→9}"},
+		{cs[1].String(), "c(X,Y){⟨a,a⟩→5 ⟨a,b⟩→1 ⟨b,a⟩→2 ⟨b,b⟩→2}"},
+		{cs[2].String(), "c(Y){⟨a⟩→5 ⟨b⟩→5}"},
+		{NewConstraint(w, []Variable{x}, func(a Assignment) float64 { return 2*a.Num(x) + 2 }).String(),
+			"c(x){⟨0⟩→2 ⟨1⟩→4 ⟨2⟩→6 ⟨3⟩→8}"},
+		{Constant(w, 1.5).String(), "c(){⟨⟩→1.5}"},
+		{NewConstraint(b, []Variable{mid, in}, func(a Assignment) bool { return a.Num(mid) <= a.Num(in) }).String(),
+			"c(in,mid){⟨0,0⟩→true ⟨0,1⟩→false ⟨0,2⟩→false ⟨1,0⟩→true ⟨1,1⟩→true ⟨1,2⟩→false ⟨2,0⟩→true ⟨2,1⟩→true ⟨2,2⟩→true}"},
+		{Unary(f, u, map[string]float64{"lo": 0.25, "hi": 1}).String(), "c(u){⟨lo⟩→0.25 ⟨hi⟩→1}"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("String = %q, want %q", tc.got, tc.want)
+		}
+	}
+}

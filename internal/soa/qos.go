@@ -169,17 +169,23 @@ func (a Attribute) ToConstraint(s *core.Space[float64], resource core.Variable) 
 	if !s.HasVariable(resource) {
 		return nil, fmt.Errorf("soa: resource variable %q not declared", resource)
 	}
-	metric := a.Metric
-	base, per := a.Base, a.PerUnit
 	return core.NewConstraint(s, []core.Variable{resource}, func(asst core.Assignment) float64 {
-		v := base + per*asst.Num(resource)
-		switch metric {
-		case MetricCost, MetricDowntime:
-			return math.Max(0, v)
-		default:
-			return math.Max(0, math.Min(1, v/100))
-		}
+		return a.Level(asst.Num(resource))
 	}), nil
+}
+
+// Level is the attribute's QoS level with the given number of resource
+// units allocated: Base + PerUnit·units, clamped below at 0 for cost
+// and downtime, and divided by 100 and clamped into [0,1] for the
+// reliability and preference percentages.
+func (a Attribute) Level(units float64) float64 {
+	v := a.Base + a.PerUnit*units
+	switch a.Metric {
+	case MetricCost, MetricDowntime:
+		return math.Max(0, v)
+	default:
+		return math.Max(0, math.Min(1, v/100))
+	}
 }
 
 // ResourceDomain returns the resource domain [0, MaxUnits] declared

@@ -337,10 +337,18 @@ func TestCachedWorkStealingInterplay(t *testing.T) {
 	}
 	seq := BranchAndBound(p)
 
+	// WithWorkers(0) resolves to GOMAXPROCS, so the first parallel
+	// solve uses an explicit count that differs from it on every
+	// machine; otherwise the two would share the memo slot below.
+	nprocs := runtime.GOMAXPROCS(0)
+	first := 2
+	if nprocs == first {
+		first = 3
+	}
 	c := cache.New(256)
-	miss := BranchAndBound(p, WithSolveCache(c), WithWorkers(2))
+	miss := BranchAndBound(p, WithSolveCache(c), WithWorkers(first))
 	assertSameResult(t, sr, "ws/miss", seq, miss)
-	hit := BranchAndBound(p, WithSolveCache(c), WithWorkers(2))
+	hit := BranchAndBound(p, WithSolveCache(c), WithWorkers(first))
 	assertSameSolve(t, sr, "ws/hit", miss, hit)
 	if hit.Stats.Steals != miss.Stats.Steals || hit.Stats.Splits != miss.Stats.Splits ||
 		hit.Stats.Workers != miss.Stats.Workers {
@@ -349,7 +357,6 @@ func TestCachedWorkStealingInterplay(t *testing.T) {
 			hit.Stats.Workers, miss.Stats.Workers)
 	}
 
-	nprocs := runtime.GOMAXPROCS(0)
 	before := c.TierStats(cache.TierSearch).Hits
 	BranchAndBound(p, WithSolveCache(c), WithWorkers(0))
 	explicit := BranchAndBound(p, WithSolveCache(c), WithWorkers(nprocs))
@@ -358,8 +365,9 @@ func TestCachedWorkStealingInterplay(t *testing.T) {
 			nprocs, got, before+1)
 	}
 	assertSameResult(t, sr, "ws/gomaxprocs", seq, explicit)
-	// nprocs+2 is a count no earlier solve used (2 and nprocs are
-	// taken), so it must occupy a fresh slot.
+	// nprocs+2 is a count no earlier solve used (first and nprocs
+	// are taken, and first is 2 or, when nprocs is 2, 3), so it must
+	// occupy a fresh slot.
 	before = c.TierStats(cache.TierSearch).Misses
 	BranchAndBound(p, WithSolveCache(c), WithWorkers(nprocs+2))
 	if got := c.TierStats(cache.TierSearch).Misses; got != before+1 {

@@ -39,13 +39,11 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 
 	type unary struct {
 		v      core.Variable
-		dom    []core.DVal
 		levels []T
 	}
 	type binary struct {
-		x, y   core.Variable
-		dx, dy []core.DVal
-		m      [][]T // m[i][j] over dx[i], dy[j]
+		ux, uy *unary // x and y, x declared first
+		m      []T    // m[i*len(uy.levels)+j] over the i-th x and j-th y value
 	}
 
 	// unaryOrder mirrors the map in first-creation order (a function
@@ -59,12 +57,11 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 		if u, ok := unaries[v]; ok {
 			return u
 		}
-		dom := s.Domain(v)
-		levels := make([]T, len(dom))
+		levels := make([]T, len(s.Domain(v)))
 		for i := range levels {
 			levels[i] = sr.One()
 		}
-		u := &unary{v: v, dom: dom, levels: levels}
+		u := &unary{v: v, levels: levels}
 		unaries[v] = u
 		unaryOrder = append(unaryOrder, u)
 		return u
@@ -74,29 +71,25 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 	var passthrough []*core.Constraint[T]
 	czero := sr.One()
 
+	// Tables are read once in the mixed-radix order of Values, so a
+	// binary table over (x, y) lands row-major with x, the earlier
+	// declared variable, as the row.
+	var vals []T
 	for _, c := range p.Constraints() {
 		scope := c.Scope()
 		switch len(scope) {
 		case 0:
-			czero = sr.Times(czero, c.AtLabels())
+			czero = sr.Times(czero, c.Values(vals[:0])[0])
 		case 1:
 			u := getUnary(scope[0])
-			for i, d := range u.dom {
-				u.levels[i] = sr.Times(u.levels[i], c.AtLabels(d.Label))
+			vals = c.Values(vals[:0])
+			for i, v := range vals {
+				u.levels[i] = sr.Times(u.levels[i], v)
 			}
 		case 2:
-			x, y := scope[0], scope[1]
-			dx, dy := s.Domain(x), s.Domain(y)
-			m := make([][]T, len(dx))
-			for i, dvx := range dx {
-				m[i] = make([]T, len(dy))
-				for j, dvy := range dy {
-					m[i][j] = c.AtLabels(dvx.Label, dvy.Label)
-				}
-			}
-			binaries = append(binaries, &binary{x: x, y: y, dx: dx, dy: dy, m: m})
-			getUnary(x)
-			getUnary(y)
+			binaries = append(binaries, &binary{
+				ux: getUnary(scope[0]), uy: getUnary(scope[1]), m: c.Values(nil),
+			})
 		default:
 			passthrough = append(passthrough, c)
 		}
@@ -109,32 +102,33 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 		changed := false
 		// Arc consistency: shift row/column lubs into unary levels.
 		for _, b := range binaries {
-			ux, uy := unaries[b.x], unaries[b.y]
-			for i := range b.dx {
+			nx, ny := len(b.ux.levels), len(b.uy.levels)
+			for i := 0; i < nx; i++ {
+				row := b.m[i*ny : (i+1)*ny]
 				alpha := sr.Zero()
-				for j := range b.dy {
-					alpha = sr.Plus(alpha, b.m[i][j])
+				for _, v := range row {
+					alpha = sr.Plus(alpha, v)
 				}
 				if !sr.Eq(alpha, sr.One()) {
 					changed = true
 					stats.Shifts++
-					ux.levels[i] = sr.Times(ux.levels[i], alpha)
-					for j := range b.dy {
-						b.m[i][j] = sr.Div(b.m[i][j], alpha)
+					b.ux.levels[i] = sr.Times(b.ux.levels[i], alpha)
+					for j := range row {
+						row[j] = sr.Div(row[j], alpha)
 					}
 				}
 			}
-			for j := range b.dy {
+			for j := 0; j < ny; j++ {
 				alpha := sr.Zero()
-				for i := range b.dx {
-					alpha = sr.Plus(alpha, b.m[i][j])
+				for i := 0; i < nx; i++ {
+					alpha = sr.Plus(alpha, b.m[i*ny+j])
 				}
 				if !sr.Eq(alpha, sr.One()) {
 					changed = true
 					stats.Shifts++
-					uy.levels[j] = sr.Times(uy.levels[j], alpha)
-					for i := range b.dx {
-						b.m[i][j] = sr.Div(b.m[i][j], alpha)
+					b.uy.levels[j] = sr.Times(b.uy.levels[j], alpha)
+					for i := 0; i < nx; i++ {
+						b.m[i*ny+j] = sr.Div(b.m[i*ny+j], alpha)
 					}
 				}
 			}
@@ -163,7 +157,6 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 	out := core.NewProblem(s, p.Con()...)
 	out.Add(core.Constant(s, czero))
 	for _, u := range unaryOrder {
-		u := u
 		allOne := true
 		for _, lv := range u.levels {
 			if !sr.Eq(lv, sr.One()) {
@@ -174,27 +167,10 @@ func Propagate[T any](p *core.Problem[T], maxRounds int) (*core.Problem[T], T, P
 		if allOne {
 			continue
 		}
-		idx := map[string]int{}
-		for i, d := range u.dom {
-			idx[d.Label] = i
-		}
-		out.Add(core.NewConstraint(s, []core.Variable{u.v}, func(a core.Assignment) T {
-			return u.levels[idx[a.Label(u.v)]]
-		}))
+		out.Add(core.NewTable(s, []core.Variable{u.v}, u.levels))
 	}
 	for _, b := range binaries {
-		b := b
-		ix := map[string]int{}
-		for i, d := range b.dx {
-			ix[d.Label] = i
-		}
-		iy := map[string]int{}
-		for j, d := range b.dy {
-			iy[d.Label] = j
-		}
-		out.Add(core.NewConstraint(s, []core.Variable{b.x, b.y}, func(a core.Assignment) T {
-			return b.m[ix[a.Label(b.x)]][iy[a.Label(b.y)]]
-		}))
+		out.Add(core.NewTable(s, []core.Variable{b.ux.v, b.uy.v}, b.m))
 	}
 	out.Add(passthrough...)
 	return out, czero, stats
